@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test check bench bench6 bench7 bench8 bench9 bench10 bench-all race verify-fuzz timeline serve
+.PHONY: test check bench bench-all race verify-fuzz timeline serve
 
 test:
 	$(GO) test ./...
@@ -8,12 +8,13 @@ test:
 # check is the pre-commit gate: static analysis, the race detector over the
 # concurrent subsystems — the parallel trace pipeline, the simulated MPI
 # transport (the discrete-event scheduler's token handoff and the goroutine
-# runtime's atomic combining barrier), the compiled coNCePTuaL interpreter,
-# the harness worker pool, the telemetry registry and the benchd service —
-# the differential suite that pins the event engine, the goroutine runtime
-# and the reference collectives to bit-identical traces and clocks, also
-# under -race, plus a short fuzz pass over the untrusted-upload trace
-# decoder.
+# reference runtime's mutex+cond mailboxes and collective rendezvous), the
+# coNCePTuaL executors (stackless cursors and the tree-walk reference), the
+# harness worker pool, the telemetry registry and the benchd service — the
+# differential suite that pins the event engine and the goroutine reference
+# runtime to bit-identical traces and clocks, also under -race, plus short
+# fuzz passes over the untrusted-upload trace decoder and the coNCePTuaL
+# parser.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/trace/... ./internal/mpi/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
@@ -21,6 +22,7 @@ check:
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' .
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/
+	$(GO) test -run NONE -fuzz FuzzParse -fuzztime 10s ./internal/conceptual/
 
 # verify-fuzz drives the MP-net exporter and the bounded model checker
 # with untrusted trace documents: anything the codec accepts must lower,
@@ -31,76 +33,17 @@ verify-fuzz:
 race:
 	$(GO) test -race ./...
 
-# bench refreshes the BENCH_3.json baseline: it runs the runtime-substrate
-# benchmarks (simulated world execution — including the telemetry-enabled
-# variant whose distance from the fast path is the recorded instrumentation
-# overhead — interpreter, replay) and merges the measured numbers into the
-# post_change section, preserving any recorded pre-change history. Benchmark
-# output also streams to the terminal.
+# bench runs the repository benchmark (perfbench/, declared in
+# BENCHMARK.json): every workload once untraced for the end-to-end metrics
+# and once traced for the per-layer split, appending each result set to
+# .bench_build/results.jsonl, then prints the medians and spreads. The
+# BENCH_N.json files at the root are archived history and are not rewritten.
 bench:
-	$(GO) test -run NONE -bench 'BenchmarkRunWorld|BenchmarkInterpExecute|BenchmarkReplay' \
-		-benchtime 60x -benchmem . | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -merge BENCH_3.json > BENCH_3.json.tmp
-	mv BENCH_3.json.tmp BENCH_3.json
-
-# bench6 refreshes BENCH_6.json, the incast-contention baseline: the series
-# at GOMAXPROCS 1 and 4, whose engine_speedups ratios record how far the
-# goroutine runtime's condvar broadcast storms fall behind the event engine
-# once more than one P is in play. (The rank-scaling curve that used to live
-# here moved to bench7, re-measured warm on the world pool; BENCH_6.json
-# keeps the historical cold curve.)
-bench6:
-	$(GO) test -run NONE -bench BenchmarkIncastContention -benchtime 3x -cpu 1,4 -benchmem -timeout 30m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_6.json > BENCH_6.json.tmp
-	mv BENCH_6.json.tmp BENCH_6.json
-
-# bench7 refreshes BENCH_7.json, the world-reuse and stackless-rank baseline:
-# the rank-scaling curve re-measured warm (stackless cursors on a pooled
-# world — the long-lived-host configuration) from 1k to 1M ranks next to the
-# cold and goroutine series, and the 65536-rank cold-vs-warm world setup gap
-# the Engine pool buys. -benchtime 1x: one world per data point — a 1M-rank
-# world is minutes. Two invocations merge into one document.
-bench7:
-	$(GO) test -run NONE -bench BenchmarkRankScaling -benchtime 1x -benchmem -timeout 60m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_7.json > BENCH_7.json.tmp
-	mv BENCH_7.json.tmp BENCH_7.json
-	$(GO) test -run NONE -bench BenchmarkWorldSetup -benchtime 1x -benchmem -timeout 60m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_7.json > BENCH_7.json.tmp
-	mv BENCH_7.json.tmp BENCH_7.json
-
-# bench8 refreshes BENCH_8.json, the causal-profiler baseline: the
-# critpath/fast BenchmarkRunWorld pairs at 64 and 256 ranks record the
-# profiler-enabled overhead, and the deprecords/graphbytes metrics on the
-# critpath legs record the per-scale dependency-graph memory ceiling.
-bench8:
-	$(GO) test -run NONE -bench 'BenchmarkRunWorld/(fast|critpath)' \
-		-benchtime 60x -benchmem . | tee /dev/stderr | \
-		$(GO) run ./cmd/benchjson -merge BENCH_8.json > BENCH_8.json.tmp
-	mv BENCH_8.json.tmp BENCH_8.json
-
-# bench9 refreshes BENCH_9.json, the multi-P throughput baseline: aggregate
-# worlds/sec when mixed-size worlds are driven through the work-stealing run
-# pool, measured at GOMAXPROCS 1, 2, 4 and 8 (benchjson's pool_speedups
-# section derives the kP-vs-1P scaling from the series — flat on a
-# single-core host, >=3x at 8P on real multicore hardware), plus the
-# per-rank cost of the three coNCePTuaL execution representations (the
-# cursor_speedups section records the coroutine-to-cursor ratio).
-bench9:
-	$(GO) test -run NONE -bench BenchmarkMultiWorld -benchtime 20x -cpu 1,2,4,8 -benchmem -timeout 60m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_9.json > BENCH_9.json.tmp
-	mv BENCH_9.json.tmp BENCH_9.json
-	$(GO) test -run NONE -bench BenchmarkConceptualRepr -benchtime 20x -benchmem . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_9.json > BENCH_9.json.tmp
-	mv BENCH_9.json.tmp BENCH_9.json
-
-# bench10 refreshes BENCH_10.json, the model-checker throughput baseline:
-# bounded exploration of LU's wildcard-heavy MP-net at 4, 8 and 16 ranks.
-# benchjson's verify_throughput section records the states/sec metric per
-# rank count next to the per-exploration ns/op series.
-bench10:
-	$(GO) test -run NONE -bench BenchmarkVerifyCheck -benchtime 10x -benchmem -timeout 30m . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -series -merge BENCH_10.json > BENCH_10.json.tmp
-	mv BENCH_10.json.tmp BENCH_10.json
+	for w in pipeline-lu64 pipeline-bt256 serve-mix verify-lu4; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 0 || exit 1; \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 20 --trace 1 || exit 1; \
+	done
+	python3 perfbench/run.py compare .bench_build/results.jsonl
 
 # bench-all runs the full evaluation-reproduction suite without touching the
 # recorded baseline.

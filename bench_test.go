@@ -429,11 +429,10 @@ func runWorldBody(n int) func(*mpi.Rank) {
 }
 
 // BenchmarkRunWorld measures the simulated runtime itself — the substrate
-// every experiment stands on — at 64 and 256 ranks, on the default fast path
-// (atomic combining barrier, indexed mailbox, arenas) and on the reference
-// mutex+cond rendezvous. The fast/reference pairs at equal rank counts are
-// the recorded speedup evidence in BENCH_2.json; the telemetry/fast pairs
-// are the enabled-instrumentation overhead evidence in BENCH_3.json.
+// every experiment stands on — at 64 and 256 ranks on the event engine,
+// bare (fast), with telemetry enabled, and with the causal profiler
+// attached. The telemetry/fast pairs at equal rank counts are the
+// enabled-instrumentation overhead evidence archived in BENCH_3.json.
 func BenchmarkRunWorld(b *testing.B) {
 	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("fast-%dranks", n), func(b *testing.B) {
@@ -452,18 +451,11 @@ func BenchmarkRunWorld(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("reference-%dranks", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mpi.Run(n, netmodel.BlueGeneL(), runWorldBody(n),
-					mpi.WithReferenceCollectives()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(fmt.Sprintf("critpath-%dranks", n), func(b *testing.B) {
 			// The critpath/fast pairs at equal rank counts are the
-			// profiler-enabled overhead evidence in BENCH_8.json; the graph
-			// memory metric is the recording's per-run footprint ceiling.
+			// profiler-enabled overhead evidence archived in BENCH_8.json;
+			// the graph memory metric is the recording's per-run footprint
+			// ceiling.
 			// One graph across iterations: arm() truncates per run but keeps
 			// slice capacity, the steady state a pooled daemon world sees.
 			g := mpi.NewDepGraph()
@@ -539,14 +531,11 @@ func (s *ringStream) Next(*mpi.Rank) (mpi.RankOp, bool) {
 // rankScalingEventSizes is the 1k -> 1M curve the discrete-event engine is
 // measured on: stackless replay ranks on a pooled world, the configuration a
 // long-lived host (harness worker, benchd job body) actually runs. The cold
-// series re-runs the same workload on a fresh world each time — the BENCH_6
-// configuration — so the cold-vs-warm gap is the pooling win; the goroutine
-// runtime is measured up to 65536 (a 1M-rank world would spawn 1M concurrent
-// goroutines — 8 GiB of minimum stacks before any payload).
+// series re-runs the same workload on a fresh world each time, so the
+// cold-vs-warm gap is the pooling win.
 var (
-	rankScalingEventSizes     = []int{1024, 4096, 16384, 65536, 262144, 1048576}
-	rankScalingColdSizes      = []int{1024, 4096, 16384, 65536}
-	rankScalingGoroutineSizes = []int{1024, 4096, 16384, 65536}
+	rankScalingEventSizes = []int{1024, 4096, 16384, 65536, 262144, 1048576}
+	rankScalingColdSizes  = []int{1024, 4096, 16384, 65536}
 )
 
 // runScalingStackless runs the ring workload as stackless cursors, optionally
@@ -562,16 +551,14 @@ func runScalingStackless(n int, eng *mpi.Engine) error {
 	return err
 }
 
-// BenchmarkRankScaling records the rank-scaling curve behind BENCH_7.json
-// and service.MaxRunnableRanks: ns/op and allocs/op versus world size for
-// the warm (pooled, stackless) event engine at 1k -> 1M ranks, the cold
-// event engine, and the goroutine runtime at the sizes it can reach. Each
-// warm series point runs one untimed warmup so the measured iteration sees
-// the steady state a long-lived host sees — under `make bench7`'s
-// -benchtime=1x the previous curve conflated world construction with
-// execution and showed the event engine losing to the goroutine runtime at
-// several scales (BENCH_6). Run via `make bench7`: one world per data point,
-// since a 1M-rank world is minutes.
+// BenchmarkRankScaling records the rank-scaling curve behind
+// service.MaxRunnableRanks (archived in BENCH_7.json): ns/op and allocs/op
+// versus world size for the warm (pooled, stackless) event engine at
+// 1k -> 1M ranks and the cold event engine. Each warm series point runs one
+// untimed warmup so the measured iteration sees the steady state a
+// long-lived host sees; without it a -benchtime=1x run conflates world
+// construction with execution. Run with -benchtime 1x: one world per data
+// point, since a 1M-rank world is minutes.
 func BenchmarkRankScaling(b *testing.B) {
 	// The pool-less series run first, before the warm series fills the
 	// engine with worlds up to 1M ranks — a resident multi-GiB pool would
@@ -581,17 +568,6 @@ func BenchmarkRankScaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := runScalingStackless(n, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	for _, n := range rankScalingGoroutineSizes {
-		b.Run(fmt.Sprintf("goroutine-%dranks", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mpi.Run(n, netmodel.BlueGeneL(), rankScalingBody(n),
-					mpi.WithGoroutineRuntime(), mpi.WithTimeout(30*time.Minute)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -632,7 +608,7 @@ func (s *barrierStream) Next(*mpi.Rank) (mpi.RankOp, bool) {
 // each iteration (cold) versus reset from the pool (warm: rank structs,
 // mailboxes with their source indexes, arenas and the scheduler slab all
 // survive). The acceptance bar for the pool is warm at least 2x cheaper
-// than cold at this size; BENCH_7.json records the measured gap.
+// than cold at this size; BENCH_7.json archives the measured gap.
 func BenchmarkWorldSetup(b *testing.B) {
 	const n = 65536
 	progFor := func(rank int) mpi.OpStream { return &barrierStream{} }
@@ -664,14 +640,11 @@ func BenchmarkWorldSetup(b *testing.B) {
 
 // incastBody is the BenchmarkIncastContention workload: every rank streams k
 // eager messages at rank 0 — the master/worker shape whose flow-control
-// stalls are the goroutine runtime's worst case. Each stalled sender parks
-// on rank 0's mailbox condvar, every drain broadcasts to all of them, and on
-// a multicore host (GOMAXPROCS > 1) those wakeups are cross-thread futex
-// traffic on one contended mutex. The event engine keeps one credit waiter
-// per source slot and wakes exactly the sender a drain releases, so its cost
-// is flat in GOMAXPROCS. With wildcard set, rank 0 receives with AnySource
-// instead of cycling the sources — the paper's §4.4 pattern — exercising the
-// mailbox's wildcard candidate heap against a standing unexpected backlog.
+// stalls dominate. The event engine keeps one credit waiter per source slot
+// and wakes exactly the sender a drain releases. With wildcard set, rank 0
+// receives with AnySource instead of cycling the sources — the paper's §4.4
+// pattern — exercising the mailbox's wildcard candidate heap against a
+// standing unexpected backlog.
 func incastBody(k, size int, wildcard bool) func(*mpi.Rank) {
 	return func(r *mpi.Rank) {
 		w := r.World()
@@ -696,36 +669,29 @@ func incastBody(k, size int, wildcard bool) func(*mpi.Rank) {
 	}
 }
 
-// BenchmarkIncastContention is the second BENCH_6.json series: the incast
-// ratio between engines versus GOMAXPROCS (run with -cpu 1,4). At one P the
-// engines differ only modestly — a solo P never contends — which is exactly
-// the point: the goroutine runtime's collapse is a concurrency artifact, not
-// model work, and the event engine sheds it structurally.
+// BenchmarkIncastContention measures the incast workload on the event
+// engine versus GOMAXPROCS (run with -cpu 1,4; the historical engine
+// comparison is archived in BENCH_6.json): its cost should be flat in P,
+// because the engine serializes ranks on one token regardless.
 func BenchmarkIncastContention(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		for _, shape := range []string{"direct", "wildcard"} {
-			for _, eng := range []string{"event", "goroutine"} {
-				b.Run(fmt.Sprintf("%s-%s-%dranks", eng, shape, n), func(b *testing.B) {
-					b.ReportAllocs()
-					var opts []mpi.Option
-					if eng == "goroutine" {
-						opts = append(opts, mpi.WithGoroutineRuntime())
+			b.Run(fmt.Sprintf("event-%s-%dranks", shape, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := mpi.Run(n, netmodel.BlueGeneL(),
+						incastBody(128, 256, shape == "wildcard")); err != nil {
+						b.Fatal(err)
 					}
-					for i := 0; i < b.N; i++ {
-						if _, err := mpi.Run(n, netmodel.BlueGeneL(),
-							incastBody(128, 256, shape == "wildcard"), opts...); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
 // BenchmarkInterpExecute measures coNCePTuaL program execution on the
-// compiled closure tree (the default) against the tree-walking reference, on
-// a program large enough that per-iteration statement dispatch dominates.
+// production path (stackless cursors), on a program large enough that
+// per-iteration statement dispatch dominates.
 func BenchmarkInterpExecute(b *testing.B) {
 	prog := &conceptual.Program{NumTasks: 16, Stmts: []conceptual.Stmt{
 		&conceptual.LoopStmt{Count: 200, Body: []conceptual.Stmt{
@@ -736,21 +702,11 @@ func BenchmarkInterpExecute(b *testing.B) {
 			&conceptual.ReduceStmt{Srcs: conceptual.AllTasks, Dsts: conceptual.AllTasks, Size: 64},
 		}},
 	}}
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL()); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL()); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("treewalk", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := conceptual.Execute(prog, 16, netmodel.BlueGeneL(),
-				conceptual.WithTreeWalk()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkReplay measures trace re-execution (the ScalaReplay role in the
@@ -826,17 +782,17 @@ func multiWorldBatch(count int, sizes []int, pool *mpi.RunPool, eng *mpi.Engine)
 	return nil
 }
 
-// BenchmarkMultiWorld is the BENCH_9.json saturation benchmark: aggregate
-// worlds/sec when many independent worlds are driven through the
+// BenchmarkMultiWorld is the saturation benchmark archived in BENCH_9.json:
+// aggregate worlds/sec when many independent worlds are driven through the
 // work-stealing run pool, measured across -cpu 1,2,4,8. Each sub-benchmark
 // builds its pool fresh so the worker count tracks the -cpu value go test
 // sets, and warms the engine's world classes untimed so the measured batches
 // see the steady state a long-lived host sees. The pooled-<N>ranks series are
 // uniform batches; the mixed series (labelled by its 16+64+256 size-cycle
-// sum) is the imbalanced batch that exercises stealing. benchjson's
-// pool_speedups section divides each variant's 1P ns/op by its kP ns/op —
-// on a multicore host the 8P aggregate is expected >=3x the 1P one; a
-// single-core host (this repo's CI container) measures ~1x by construction.
+// sum) is the imbalanced batch that exercises stealing. Dividing each
+// variant's 1P ns/op by its kP ns/op gives the pool speedup — on a
+// multicore host the 8P aggregate is expected >=3x the 1P one; a
+// single-core host measures ~1x by construction.
 func BenchmarkMultiWorld(b *testing.B) {
 	const batch = 24
 	run := func(b *testing.B, sizes []int) {
@@ -876,9 +832,8 @@ func BenchmarkMultiWorld(b *testing.B) {
 
 // conceptualReprProgram is the BenchmarkConceptualRepr workload: the
 // BenchmarkInterpExecute shape (async ring + await + compute + reduce in a
-// hot loop) sized so per-statement dispatch dominates, shared by all three
-// execution representations. RelRank(n-1) keeps the receive the ring
-// predecessor at any world size.
+// hot loop) sized so per-statement dispatch dominates. RelRank(n-1) keeps
+// the receive the ring predecessor at any world size.
 func conceptualReprProgram(n int) *conceptual.Program {
 	return &conceptual.Program{Stmts: []conceptual.Stmt{
 		&conceptual.LoopStmt{Count: 200, Body: []conceptual.Stmt{
@@ -891,33 +846,22 @@ func conceptualReprProgram(n int) *conceptual.Program {
 	}}
 }
 
-// BenchmarkConceptualRepr records the per-rank cost of the three coNCePTuaL
-// execution representations for BENCH_9.json: the stackless cursor (the
-// event-engine default — no rank goroutines), the compiled-closure coroutine
-// path, and the tree-walking reference. The nsperrank metric is ns/op
-// divided by world size; benchjson's cursor_speedups section records the
-// coroutine/cursor ratio per size.
+// BenchmarkConceptualRepr records the per-rank cost of coNCePTuaL execution
+// on stackless cursors (the production representation — no rank
+// goroutines) at two world sizes; the historical comparison against the
+// coroutine representations is archived in BENCH_9.json. The nsperrank
+// metric is ns/op divided by world size.
 func BenchmarkConceptualRepr(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		prog := conceptualReprProgram(n)
-		for _, v := range []struct {
-			name string
-			opts []conceptual.RunOption
-		}{
-			{"cursor", nil},
-			{"coroutine", []conceptual.RunOption{conceptual.WithCoroutine()}},
-			{"treewalk", []conceptual.RunOption{conceptual.WithTreeWalk()}},
-		} {
-			n, v := n, v
-			b.Run(fmt.Sprintf("%s-%dranks", v.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := conceptual.Execute(prog, n, netmodel.BlueGeneL(), v.opts...); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("cursor-%dranks", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := conceptual.Execute(prog, n, netmodel.BlueGeneL()); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "nsperrank")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "nsperrank")
+		})
 	}
 }

@@ -103,7 +103,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	// ReadTimeout bounds how long a client may take to deliver a (size-capped)
+	// body. There is deliberately no WriteTimeout: the synchronous endpoints
+	// hold the response open for queue time plus the job timeout.
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout: time.Minute}
 	logger.Info("serving", "addr", ln.Addr().String())
 
 	errc := make(chan error, 1)

@@ -58,16 +58,9 @@ func main() {
 		profile  = flag.String("cpuprofile", "", "write a CPU profile of the generation pipeline to this file")
 		critFlag = flag.Bool("critpath", false, "replay the input trace and report its critical path to stderr")
 		modelNm  = flag.String("model", "bluegene", "platform model for -critpath and -verify counterexample replay")
-		rtName   = flag.String("runtime", "event", "simulation runtime for -critpath replay (event, goroutine)")
 	)
 	tcli := telemetry.NewCLI()
 	flag.Parse()
-	// Fail a bad runtime/critpath combination here, in one line, before any
-	// trace is read or replay prepared.
-	rtOpts, err := mpi.RuntimeOptions(*rtName, *critFlag)
-	if err != nil {
-		fatal(err)
-	}
 	if err := tcli.Start(); err != nil {
 		fatal(err)
 	}
@@ -147,8 +140,7 @@ func main() {
 			fatal(fmt.Errorf("unknown model %q", *modelNm))
 		}
 		graph := mpi.NewDepGraph()
-		replayOpts := append(rtOpts, mpi.WithCausalProfile(graph))
-		if _, err := replay.Replay(tr, model, replayOpts...); err != nil {
+		if _, err := replay.Replay(tr, model, mpi.WithCausalProfile(graph)); err != nil {
 			fatal(fmt.Errorf("critpath replay: %w", err))
 		}
 		fmt.Fprintln(os.Stderr, critpath.Analyze(graph))

@@ -270,7 +270,7 @@ func TestCritPathGoldenRing(t *testing.T) {
 
 // TestCritPathRequiresEventEngine pins the option validation: the profiler
 // hooks live in the event engine's wake paths, so combining it with the
-// goroutine runtime or reference collectives is a configuration error.
+// goroutine reference runtime is a configuration error.
 func TestCritPathRequiresEventEngine(t *testing.T) {
 	g := mpi.NewDepGraph()
 	_, err := mpi.Run(2, netmodel.Ideal(), func(r *mpi.Rank) {},

@@ -24,29 +24,16 @@ import (
 // to ANY) and every other kernel must match bit for bit on all engines.
 var wildcardApps = map[string]bool{"lu": true}
 
-// engineVariants are the three runtimes the differential suite compares:
-// the discrete-event engine (the default), the goroutine-per-rank runtime
-// with the atomic combining barrier, and the goroutine runtime with the
-// mutex+cond reference collectives. The first entry is the baseline the
-// others are compared against.
-var engineVariants = []struct {
-	name string
-	opts []mpi.Option
-}{
-	{"event", nil},
-	{"goroutine", []mpi.Option{mpi.WithGoroutineRuntime()}},
-	{"reference", []mpi.Option{mpi.WithReferenceCollectives()}},
-}
-
 // TestEventEngineMatchesGoroutineRuntime is the differential proof behind
-// the discrete-event scheduler: every application kernel, run once per
-// engine variant, must produce bit-identical per-rank virtual clocks, a
-// byte-identical encoded trace and a matching mpiP profile. The virtual-time
-// semantics are engine-independent by construction — collective rounds fold
-// the same maxima, unexpected-message penalties depend on virtual arrival
-// rather than physical schedule, and the event engine's tie-break only picks
-// among orders the goroutine runtime could legally produce — so any
-// divergence is a bug, not noise.
+// the discrete-event scheduler: every application kernel, run on the event
+// engine and on the goroutine reference runtime (goroutine-per-rank, mutex+
+// cond mailboxes and collective rendezvous), must produce bit-identical
+// per-rank virtual clocks, a byte-identical encoded trace and a matching
+// mpiP profile. The virtual-time semantics are engine-independent by
+// construction — collective rounds fold the same maxima, unexpected-message
+// penalties depend on virtual arrival rather than physical schedule, and the
+// event engine's tie-break only picks among orders the goroutine runtime
+// could legally produce — so any divergence is a bug, not noise.
 func TestEventEngineMatchesGoroutineRuntime(t *testing.T) {
 	for _, name := range apps.Names() {
 		app := apps.ByName(name)
@@ -56,41 +43,39 @@ func TestEventEngineMatchesGoroutineRuntime(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s-%d", name, n), func(t *testing.T) {
 			t.Parallel()
-			base, baseTrace, baseProf := runKernel(t, name, n, engineVariants[0].opts...)
-			for _, variant := range engineVariants[1:] {
-				res, resTrace, resProf := runKernel(t, name, n, variant.opts...)
+			base, baseTrace, baseProf := runKernel(t, name, n)
+			res, resTrace, resProf := runKernel(t, name, n, mpi.WithGoroutineRuntime())
 
-				if !bytes.Equal(baseTrace, resTrace) {
-					t.Errorf("encoded traces differ between event engine and %s runtime", variant.name)
-				}
-				if report := mpip.Diff(resProf, baseProf); !report.Match() {
-					t.Errorf("mpiP profiles differ between event engine and %s runtime:\n%s", variant.name, report)
-				}
-				if wildcardApps[name] {
-					// The goroutine runtime's wildcard matches race, so its
-					// clocks sit anywhere in the legal-match-order envelope —
-					// wider under the race detector, whose instrumentation
-					// reshuffles interleavings. Bound the drift at 1%: real
-					// cost-model divergences (a changed formula, a lost
-					// contribution) show up orders of magnitude larger and in
-					// the deterministic kernels too.
-					const relTol = 1e-2
-					for i := range res.PerRankUS {
-						if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > relTol {
-							t.Errorf("rank %d clock: event %v, %s %v (rel diff %g)",
-								i, base.PerRankUS[i], variant.name, res.PerRankUS[i], d)
-						}
-					}
-					continue
-				}
-				if base.ElapsedUS != res.ElapsedUS {
-					t.Errorf("ElapsedUS: event %v, %s %v", base.ElapsedUS, variant.name, res.ElapsedUS)
-				}
+			if !bytes.Equal(baseTrace, resTrace) {
+				t.Errorf("encoded traces differ between event engine and goroutine runtime")
+			}
+			if report := mpip.Diff(resProf, baseProf); !report.Match() {
+				t.Errorf("mpiP profiles differ between event engine and goroutine runtime:\n%s", report)
+			}
+			if wildcardApps[name] {
+				// The goroutine runtime's wildcard matches race, so its
+				// clocks sit anywhere in the legal-match-order envelope —
+				// wider under the race detector, whose instrumentation
+				// reshuffles interleavings. Bound the drift at 1%: real
+				// cost-model divergences (a changed formula, a lost
+				// contribution) show up orders of magnitude larger and in
+				// the deterministic kernels too.
+				const relTol = 1e-2
 				for i := range res.PerRankUS {
-					if base.PerRankUS[i] != res.PerRankUS[i] {
-						t.Errorf("rank %d clock: event %v, %s %v",
-							i, base.PerRankUS[i], variant.name, res.PerRankUS[i])
+					if d := math.Abs(base.PerRankUS[i]-res.PerRankUS[i]) / res.PerRankUS[i]; d > relTol {
+						t.Errorf("rank %d clock: event %v, goroutine %v (rel diff %g)",
+							i, base.PerRankUS[i], res.PerRankUS[i], d)
 					}
+				}
+				return
+			}
+			if base.ElapsedUS != res.ElapsedUS {
+				t.Errorf("ElapsedUS: event %v, goroutine %v", base.ElapsedUS, res.ElapsedUS)
+			}
+			for i := range res.PerRankUS {
+				if base.PerRankUS[i] != res.PerRankUS[i] {
+					t.Errorf("rank %d clock: event %v, goroutine %v",
+						i, base.PerRankUS[i], res.PerRankUS[i])
 				}
 			}
 		})

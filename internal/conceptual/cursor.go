@@ -6,24 +6,27 @@ import (
 	"sync"
 
 	"repro/internal/mpi"
+	"repro/internal/taskset"
 	"repro/internal/telemetry"
 )
 
 // ctrCursorPrograms counts programs lowered to the stackless cursor form.
 var ctrCursorPrograms = telemetry.NewCounter("conceptual.cursor_programs")
 
-// This file lowers a coNCePTuaL program one step further than compile.go:
-// from the closure tree (one goroutine per task stepping compiled closures)
-// to a flat instruction list that the event engine's stackless executor can
-// drive with no rank goroutines at all. A generated program is exactly the
+// This file lowers a coNCePTuaL program once per (program, task count) into
+// a flat instruction list that the event engine's stackless executor drives
+// with no rank goroutines at all. A generated program is exactly the
 // restricted shape the stackless representation requires — a pre-known
 // sequence of MPI operations with static loops — so each task's execution
 // state collapses to a program counter plus a loop-frame stack, resumable at
 // every blocking point (match, credit stall, collective round) by the
-// engine's cursor machinery. Under the event engine this is Execute's
-// default; the closure tree (WithCoroutine) and the tree walk (WithTreeWalk)
-// are retained as differential references, and all three produce
-// bit-identical clocks, traces and logs.
+// engine's cursor machinery. Everything an instruction needs at run time —
+// membership masks, per-task peer ranks, the communicator a collective uses
+// and its root's communicator-relative rank — is resolved at lowering time.
+// This is Execute's production path; the tree walk in interp.go is the
+// test reference, and both produce bit-identical clocks, traces and logs
+// because they issue the same runtime calls with the same arguments in the
+// same order.
 
 // siteInfo carries a statement's deterministic call-site hashes: pri for the
 // statement's own operation, sec for the second runtime call of a two-call
@@ -45,8 +48,8 @@ func planSite(i int) uint64 { return siteHash("plan/" + strconv.Itoa(i)) }
 
 // stmtSites assigns every statement a call-site hash derived from its
 // position in the program tree ("2/0" = first statement inside the loop that
-// is the program's third statement). All three execution paths stamp these
-// same hashes onto the runtime calls they issue, which is what makes traces
+// is the program's third statement). Both execution paths stamp these same
+// hashes onto the runtime calls they issue, which is what makes traces
 // and causal profiles bit-identical across representations: a stack walk
 // would hash different frames in each path (and cost ~1us per operation).
 func stmtSites(stmts []Stmt) map[Stmt]siteInfo {
@@ -107,7 +110,13 @@ type cursorProgram struct {
 	instrs []cursorInstr
 }
 
-// streamID maps a compile-time communicator reference to the stackless
+// commRef names the communicator a collective statement uses: world (-1) or
+// an index into the startup communicator plan.
+type commRef int
+
+const worldRef commRef = -1
+
+// streamID maps a lowering-time communicator reference to the stackless
 // stream's communicator ID space: 0 is the world, plan i registers as i+1
 // (the NewCommID its startup split carries).
 func streamID(ref commRef) int {
@@ -117,10 +126,79 @@ func streamID(ref commRef) int {
 	return int(ref) + 1
 }
 
-// lowerCursor lowers a program to cursor instructions, reusing the closure
-// compiler's resolution helpers (membership masks, peer tables, communicator
-// references, root ranks) so both lowerings resolve every argument
-// identically by construction.
+// compiler holds the resolution state for lowering one program at one task
+// count.
+type compiler struct {
+	n       int
+	planIdx map[string]int    // task-group key -> plan position
+	sites   map[Stmt]siteInfo // deterministic call sites to stamp per statement
+}
+
+// members precomputes the selector's membership as a dense mask.
+func (c *compiler) members(sel TaskSel) []bool {
+	m := make([]bool, c.n)
+	for _, t := range sel.Members(c.n) {
+		m[t] = true
+	}
+	return m
+}
+
+// peers precomputes a rank expression for every executing task.
+func (c *compiler) peers(e RankExpr) []int {
+	out := make([]int, c.n)
+	for t := range out {
+		out[t] = e.Eval(t, c.n)
+	}
+	return out
+}
+
+// maskOf precomputes a concrete task set as a dense mask.
+func (c *compiler) maskOf(s taskset.Set) []bool {
+	m := make([]bool, c.n)
+	for _, t := range s.Members() {
+		if t >= 0 && t < c.n {
+			m[t] = true
+		}
+	}
+	return m
+}
+
+// commRefFor resolves the communicator covering the union of the given task
+// sets, mirroring taskState.commFor: the world communicator when the union
+// covers every task (or was never planned), the planned sub-communicator
+// otherwise. It also returns the union itself for root computations.
+func (c *compiler) commRefFor(sets ...taskset.Set) (commRef, taskset.Set) {
+	u := taskset.Empty
+	for _, s := range sets {
+		u = u.Union(s)
+	}
+	if u.Size() == c.n {
+		return worldRef, u
+	}
+	if i, ok := c.planIdx[u.String()]; ok {
+		return commRef(i), u
+	}
+	return worldRef, u
+}
+
+// rootRank precomputes the communicator-relative rank of world rank w inside
+// the communicator ref resolves to. Planned communicators are created by
+// CommSplit keyed on world rank, so their group is the union's members in
+// ascending order; the world communicator numbers ranks identically.
+func rootRank(ref commRef, union taskset.Set, w int) int {
+	if ref == worldRef {
+		return w
+	}
+	for i, m := range union.Members() {
+		if m == w {
+			return i
+		}
+	}
+	return 0 // unreachable: the root is always a member of the union
+}
+
+// lowerCursor lowers a program to cursor instructions, resolving every
+// argument exactly as the tree walk does at run time.
 func lowerCursor(p *Program, n int, plans []commPlan, sites map[Stmt]siteInfo) *cursorProgram {
 	defer telemetry.Region("conceptual.lower_cursor")()
 	ctrCursorPrograms.Inc()
@@ -189,11 +267,13 @@ func (c *compiler) lowerStmt(s Stmt, out []cursorInstr) []cursorInstr {
 	case *LogStmt:
 		out = append(out, cursorInstr{kind: ciLog, members: c.members(x.Who), label: x.Label})
 	}
-	// Unknown statements are inert, as in both reference paths.
+	// Unknown statements are inert, as in the tree walk.
 	return out
 }
 
-// lowerReduce mirrors compileReduce's three modes.
+// lowerReduce mirrors execReduce: sources equal to destinations is an
+// allreduce, a singleton destination a rooted reduce, anything else a reduce
+// followed by a multicast among the destinations.
 func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -218,7 +298,8 @@ func (c *compiler) lowerReduce(x *ReduceStmt, out []cursorInstr) []cursorInstr {
 	}
 }
 
-// lowerMulticast mirrors compileMulticast's two modes.
+// lowerMulticast mirrors execMulticast: a singleton source is a broadcast,
+// multiple sources a many-to-many exchange.
 func (c *compiler) lowerMulticast(x *MulticastStmt, out []cursorInstr) []cursorInstr {
 	srcs, dsts := x.Srcs.Set(c.n), x.Dsts.Set(c.n)
 	ref, union := c.commRefFor(srcs, dsts)
@@ -244,7 +325,7 @@ type loopFrame struct {
 // cursorStream feeds one task's operation sequence to the stackless
 // executor. Next runs on the engine's goroutine between operations, so the
 // clock it reads for RESET/LOG is the task's clock at exactly the program
-// point where the reference paths read it.
+// point where the tree walk reads it.
 type cursorStream struct {
 	prog    *cursorProgram
 	me      int

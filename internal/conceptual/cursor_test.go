@@ -12,6 +12,69 @@ import (
 	"repro/internal/trace"
 )
 
+// differentialPrograms covers every statement kind the lowering handles,
+// including the subtler shapes: subgroup collectives (planned communicators
+// with non-world roots), self-relative and absolute peers, async send/recv
+// with awaits, reduce in all three modes (allreduce, rooted, reduce+bcast),
+// multicast as broadcast and as many-to-many, and reset/log interplay.
+func differentialPrograms() map[string]*Program {
+	ringBody := []Stmt{
+		&SendStmt{Who: AllTasks, Async: true, Size: 4096, Dest: RelRank(1)},
+		&RecvStmt{Who: AllTasks, Async: true, Size: 4096, Source: RelRank(-1)},
+		&AwaitStmt{Who: AllTasks},
+	}
+	return map[string]*Program{
+		"ring": {Stmts: []Stmt{
+			&ResetStmt{Who: AllTasks},
+			&LoopStmt{Count: 25, Body: ringBody},
+			&LogStmt{Who: OneTask(0), Label: "ring"},
+		}},
+		"blocking-pairs": {Stmts: []Stmt{
+			&LoopStmt{Count: 10, Body: []Stmt{
+				&SendStmt{Who: TaskSel{Kind: SelEnum, Enum: []int{0, 2, 4}}, Size: 512, Dest: RelRank(1)},
+				&RecvStmt{Who: TaskSel{Kind: SelEnum, Enum: []int{1, 3, 5}}, Size: 512, Source: RelRank(-1)},
+				&SendStmt{Who: TaskSel{Kind: SelEnum, Enum: []int{1, 3, 5}}, Size: 512, Dest: RelRank(-1)},
+				&RecvStmt{Who: TaskSel{Kind: SelEnum, Enum: []int{0, 2, 4}}, Size: 512, Source: RelRank(1)},
+			}},
+		}},
+		"collectives": {Stmts: []Stmt{
+			&SyncStmt{Who: AllTasks},
+			&LoopStmt{Count: 8, Body: []Stmt{
+				&ReduceStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 64},
+				&ReduceStmt{Srcs: AllTasks, Dsts: OneTask(0), Size: 1024},
+				&MulticastStmt{Srcs: OneTask(0), Dsts: AllTasks, Size: 2048},
+				&MulticastStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 128},
+			}},
+			&SyncStmt{Who: AllTasks},
+		}},
+		"subgroups": {Stmts: []Stmt{
+			&SyncStmt{Who: TaskSel{Kind: SelRange, Lo: 0, Hi: 3}},
+			&LoopStmt{Count: 6, Body: []Stmt{
+				&ReduceStmt{Srcs: TaskSel{Kind: SelRange, Lo: 2, Hi: 5},
+					Dsts: TaskSel{Kind: SelRange, Lo: 2, Hi: 5}, Size: 256},
+				&ReduceStmt{Srcs: TaskSel{Kind: SelRange, Lo: 1, Hi: 6}, Dsts: OneTask(3), Size: 64},
+				&ReduceStmt{Srcs: TaskSel{Kind: SelRange, Lo: 0, Hi: 4},
+					Dsts: TaskSel{Kind: SelRange, Lo: 3, Hi: 5}, Size: 32},
+				&MulticastStmt{Srcs: OneTask(2),
+					Dsts: TaskSel{Kind: SelStride, Stride: 2, Offset: 0}, Size: 512},
+				&MulticastStmt{Srcs: TaskSel{Kind: SelRange, Lo: 4, Hi: 6},
+					Dsts: TaskSel{Kind: SelRange, Lo: 4, Hi: 6}, Size: 96},
+			}},
+			&SyncStmt{Who: AllTasks},
+		}},
+		"mixed": {Stmts: []Stmt{
+			&ResetStmt{Who: AllTasks},
+			&LoopStmt{Count: 12, Body: []Stmt{
+				&ComputeStmt{Who: AllTasks, USecs: 40},
+				&SendStmt{Who: OneTask(1), Size: 8192, Dest: AbsRank(0)},
+				&RecvStmt{Who: OneTask(0), Size: 8192, Source: AbsRank(1)},
+				&ReduceStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 8},
+			}},
+			&LogStmt{Who: AllTasks, Label: "mixed"},
+		}},
+	}
+}
+
 // execTraced executes p with a trace collector attached and returns the
 // result plus the encoded trace bytes, so representations can be compared at
 // the clock, log and trace level at once.
@@ -31,46 +94,37 @@ func execTraced(t *testing.T, p *Program, n int, opts ...RunOption) (*RunResult,
 }
 
 // TestCursorMatchesReferences is the cross-representation differential for
-// compiled coNCePTuaL execution: the stackless cursor default must produce
+// coNCePTuaL execution: the stackless cursor production path must produce
 // bit-identical per-task clocks, identical logs and a byte-identical encoded
-// trace against both coroutine references (the compiled closure tree and the
-// tree walk) on every differential kernel. Byte-identical traces depend on
-// the shared deterministic call-site stamping — a representation that walked
-// the stack instead would diverge here.
+// trace against the tree-walk reference on every differential kernel.
+// Byte-identical traces depend on the shared deterministic call-site
+// stamping — a representation that walked the stack instead would diverge
+// here.
 func TestCursorMatchesReferences(t *testing.T) {
-	refs := []struct {
-		name string
-		opt  RunOption
-	}{
-		{"coroutine", WithCoroutine()},
-		{"treewalk", WithTreeWalk()},
-	}
 	for name, p := range differentialPrograms() {
 		for _, n := range []int{7, 8} {
 			t.Run(fmt.Sprintf("%s/n%d", name, n), func(t *testing.T) {
 				base, baseTrace := execTraced(t, p, n) // stackless cursors
-				for _, ref := range refs {
-					res, refTrace := execTraced(t, p, n, ref.opt)
-					if base.ElapsedUS != res.ElapsedUS {
-						t.Errorf("ElapsedUS: cursor %v, %s %v", base.ElapsedUS, ref.name, res.ElapsedUS)
+				res, refTrace := execTraced(t, p, n, WithTreeWalk())
+				if base.ElapsedUS != res.ElapsedUS {
+					t.Errorf("ElapsedUS: cursor %v, treewalk %v", base.ElapsedUS, res.ElapsedUS)
+				}
+				for i := range res.PerTaskUS {
+					if base.PerTaskUS[i] != res.PerTaskUS[i] {
+						t.Errorf("task %d clock: cursor %v, treewalk %v",
+							i, base.PerTaskUS[i], res.PerTaskUS[i])
 					}
-					for i := range res.PerTaskUS {
-						if base.PerTaskUS[i] != res.PerTaskUS[i] {
-							t.Errorf("task %d clock: cursor %v, %s %v",
-								i, base.PerTaskUS[i], ref.name, res.PerTaskUS[i])
-						}
+				}
+				if len(base.Logs) != len(res.Logs) {
+					t.Fatalf("logs: cursor %d entries, treewalk %d", len(base.Logs), len(res.Logs))
+				}
+				for i := range res.Logs {
+					if base.Logs[i] != res.Logs[i] {
+						t.Errorf("log %d: cursor %+v, treewalk %+v", i, base.Logs[i], res.Logs[i])
 					}
-					if len(base.Logs) != len(res.Logs) {
-						t.Fatalf("logs: cursor %d entries, %s %d", len(base.Logs), ref.name, len(res.Logs))
-					}
-					for i := range res.Logs {
-						if base.Logs[i] != res.Logs[i] {
-							t.Errorf("log %d: cursor %+v, %s %+v", i, base.Logs[i], ref.name, res.Logs[i])
-						}
-					}
-					if !bytes.Equal(baseTrace, refTrace) {
-						t.Errorf("encoded trace differs between cursor and %s", ref.name)
-					}
+				}
+				if !bytes.Equal(baseTrace, refTrace) {
+					t.Errorf("encoded trace differs between cursor and treewalk")
 				}
 			})
 		}
@@ -79,7 +133,7 @@ func TestCursorMatchesReferences(t *testing.T) {
 
 // TestCursorMatchesReferencesOnGoroutineRuntime pins the fallback: when the
 // caller forces the goroutine runtime, Execute cannot use cursors and must
-// route to the compiled closure tree — with identical results.
+// route to the tree walk — with identical results.
 func TestCursorMatchesReferencesOnGoroutineRuntime(t *testing.T) {
 	p := differentialPrograms()["ring"]
 	n := 8
@@ -143,5 +197,28 @@ func TestExecuteGoroutineFree(t *testing.T) {
 	// goroutines; n/4 would already mean per-task goroutines came back.
 	if max := maxG.Load(); max > int64(base+16) {
 		t.Errorf("goroutine high-water mark %d (baseline %d): cursor execution must not spawn per-task goroutines", max, base)
+	}
+}
+
+// TestCompileResolvesPlannedComms checks the lowering's communicator
+// resolution table directly: world-covering unions map to the world
+// reference, planned subgroups map to their plan slot.
+func TestCompileResolvesPlannedComms(t *testing.T) {
+	n := 8
+	p := &Program{Stmts: []Stmt{
+		&SyncStmt{Who: TaskSel{Kind: SelRange, Lo: 0, Hi: 3}},
+		&ReduceStmt{Srcs: AllTasks, Dsts: AllTasks, Size: 8},
+	}}
+	plans := collectCommPlans(p.Stmts, n)
+	if len(plans) != 1 {
+		t.Fatalf("expected 1 planned communicator, got %d", len(plans))
+	}
+	c := &compiler{n: n, planIdx: map[string]int{plans[0].key: 0}}
+	sub := TaskSel{Kind: SelRange, Lo: 0, Hi: 3}
+	if ref, _ := c.commRefFor(sub.Set(n)); ref != 0 {
+		t.Errorf("subgroup resolved to %d, want plan slot 0", ref)
+	}
+	if ref, _ := c.commRefFor(AllTasks.Set(n)); ref != worldRef {
+		t.Errorf("world union resolved to %d, want worldRef", ref)
 	}
 }

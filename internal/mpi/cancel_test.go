@@ -112,8 +112,9 @@ func TestEventEngineDeadlockDetectedInstantly(t *testing.T) {
 	waitForGoroutines(t, base)
 }
 
-// TestRunContextCancelReferenceCollectives exercises the mutex+cond
-// rendezvous teardown path.
+// TestRunContextCancelReferenceCollectives exercises the goroutine
+// runtime's mutex+cond collective rendezvous teardown path with one rank
+// stuck in a receive and the rest parked in the barrier.
 func TestRunContextCancelReferenceCollectives(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -127,7 +128,7 @@ func TestRunContextCancelReferenceCollectives(t *testing.T) {
 		} else {
 			r.Recv(r.World(), 1, 1, 1)
 		}
-	}, WithContext(ctx), WithReferenceCollectives(), WithTimeout(30*time.Second))
+	}, WithContext(ctx), WithGoroutineRuntime(), WithTimeout(30*time.Second))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run error %v does not wrap context.Canceled", err)
 	}

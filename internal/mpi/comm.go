@@ -75,17 +75,10 @@ func newComm(w *World, id int, group []int) *Comm {
 			c.index[wr] = i
 		}
 	}
-	var stop *runStop
-	if w != nil {
-		stop = w.stop
-	}
-	switch {
-	case w != nil && w.sched != nil:
+	if w.sched != nil {
 		c.sync = newSeqColl(w.sched, c.group)
-	case w != nil && w.refColl:
-		c.sync = newLockedColl(len(group), stop)
-	default:
-		c.sync = newFastColl(len(group), stop)
+	} else {
+		c.sync = newLockedColl(len(group), w.stop)
 	}
 	return c
 }
@@ -97,8 +90,8 @@ func newComm(w *World, id int, group []int) *Comm {
 // shared value finish returned. Generation matching is implicit: the i-th
 // collective call on each rank joins the i-th round, which is exactly MPI's
 // per-communicator collective ordering. Two implementations exist — the
-// atomics-based fastColl (the default) and the mutex+cond lockedColl kept as
-// the differential-testing reference (WithReferenceCollectives).
+// event engine's seqColl (production) and the mutex+cond lockedColl of the
+// goroutine reference runtime (WithGoroutineRuntime).
 type collSync interface {
 	arrive(commRank int, op Op, clock, shadow float64, contrib any,
 		finish func(maxClock float64, contribs []any) (completion float64, shared any)) (float64, float64, any)
@@ -114,11 +107,10 @@ type collSync interface {
 }
 
 // lockedColl is the reference collSync: one mutex plus condition variable
-// per communicator. Every arrival serializes on the lock and the last
-// arriver's broadcast wakes all waiters through a mutex-reacquisition storm,
-// which is why it lost to fastColl; it is retained (behind
-// WithReferenceCollectives) because its simplicity makes it the ground truth
-// the differential tests compare virtual clocks against.
+// per communicator, the goroutine runtime's rendezvous. Every arrival
+// serializes on the lock and the last arriver's broadcast wakes all waiters;
+// its simplicity makes it the ground truth the differential tests compare
+// the event engine's virtual clocks against.
 type lockedColl struct {
 	mu   sync.Mutex
 	cond *sync.Cond

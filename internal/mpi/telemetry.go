@@ -17,9 +17,6 @@ var (
 	// ctrQueuedUnexpected counts deposits that found no posted acceptor and
 	// joined an unexpected queue.
 	ctrQueuedUnexpected = telemetry.NewCounter("mpi.msgs_queued")
-	// ctrCollFastRounds counts combining-barrier collective rounds completed
-	// on the fast path.
-	ctrCollFastRounds = telemetry.NewCounter("mpi.coll_fast_rounds")
 	// ctrWildcardRecvs counts receives posted with AnySource.
 	ctrWildcardRecvs = telemetry.NewCounter("mpi.wildcard_recvs")
 	// ctrRunsCancelled counts runs torn down by context cancellation, the

@@ -10,8 +10,8 @@
 // (ModeAuto under the event engine) each rank is compiled into an OpStream
 // cursor and driven without a goroutine or stack, which removes the
 // per-rank stack footprint and handoff cost at large world sizes. The
-// coroutine path is retained for the goroutine and reference runtimes and
-// for differential testing; both paths stamp the trace's recorded call
+// coroutine path is retained for the goroutine reference runtime and for
+// differential testing; both paths stamp the trace's recorded call
 // sites onto the re-issued operations, so all runtimes re-trace
 // byte-identically.
 package replay

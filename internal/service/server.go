@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 var (
@@ -310,10 +311,35 @@ func (s *Server) job(id string) *Job {
 	return s.jobs[id]
 }
 
+// maxRequestBytes caps a request body before it is decoded, so a
+// multi-gigabyte upload is refused instead of buffered. The body's only
+// unbounded field is an uploaded trace; the cap is trace.Decode's
+// per-record line ceiling doubled for JSON string escaping (newlines,
+// quotes and backslashes each become two bytes), far above any trace the
+// pipeline produces.
+const maxRequestBytes = 2 * trace.MaxDecodeLine
+
+// decodeRequest reads a JSON request body under maxRequestBytes, answering
+// 413 for an oversized body and 400 for a malformed one. It reports whether
+// req was filled in.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req *Request) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(req)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+			http.StatusRequestEntityTooLarge)
+		return false
+	}
+	http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	return false
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	job, status, err := s.start(&req)
@@ -342,8 +368,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSync(w http.ResponseWriter, r *http.Request, verify bool) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if verify {

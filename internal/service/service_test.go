@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -332,6 +334,60 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if a.Key() != b.Key() {
 		t.Fatalf("normalized keys differ: %s vs %s", a.Key(), b.Key())
+	}
+}
+
+// jsonBody returns a reader over a syntactically valid request body of
+// exactly size bytes — a trace field padded with 'a' — without holding the
+// whole body in memory.
+func jsonBody(size int) io.Reader {
+	prefix, suffix := `{"trace":"`, `"}`
+	return io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatByte('a'), int64(size-len(prefix)-len(suffix))),
+		strings.NewReader(suffix))
+}
+
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyCap: a body one byte over maxRequestBytes is refused with
+// 413 on every decoding endpoint before any job exists, a body exactly at
+// the cap is read in full (and then rejected by the trace decoder, 400),
+// and an ordinary upload is still served.
+func TestRequestBodyCap(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	post := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", path, body))
+		return rec
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/generate", "/v1/verify"} {
+		if rec := post(path, jsonBody(maxRequestBytes+1)); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: cap+1 body got %d (%s), want 413", path, rec.Code, rec.Body)
+		}
+	}
+	if rec := post("/v1/jobs", jsonBody(maxRequestBytes)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("body at the cap got %d (%s), want the decoder's 400", rec.Code, rec.Body)
+	}
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("%d jobs registered for refused bodies, want 0", jobs)
+	}
+
+	body, err := json.Marshal(quickTraceRequest(600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := post("/v1/generate", bytes.NewReader(body)); rec.Code != http.StatusOK {
+		t.Fatalf("ordinary upload got %d (%s), want 200", rec.Code, rec.Body)
 	}
 }
 

@@ -38,6 +38,8 @@ const (
 	MaxDecodeSize = 1 << 40
 	// MaxDecodeList bounds the entries in one counts/pvec/group vector.
 	MaxDecodeList = 1 << 20
+	// MaxDecodeLine bounds the length of one line (one record) in bytes.
+	MaxDecodeLine = 1 << 24
 )
 
 // Encode writes the trace in the line-oriented scalatrace-go text format.
@@ -174,7 +176,7 @@ func (d *decoder) errf(format string, args ...any) error {
 // line number.
 func Decode(r io.Reader) (*Trace, error) {
 	d := &decoder{sc: bufio.NewScanner(r), nodeBudget: MaxDecodeNodes}
-	d.sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	d.sc.Buffer(make([]byte, 0, 1<<16), MaxDecodeLine)
 
 	header, err := d.next()
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the parallel inter-node merge. The sequential
-// reference (mergeRankSeqsLegacy, below) folds rank 0..n-1 into behaviour
+// reference (mergeRankSeqsLegacy, in merge_test.go) folds rank 0..n-1 into behaviour
 // groups one at a time: for each rank it scans the existing groups in
 // creation order and joins the first one whose sequence unifies, so the cost
 // grows as O(ranks * groups * trace length) and the whole stage runs on one
@@ -413,33 +413,6 @@ func (ci *commIndex) CommRankOf(commID, worldRank int) (int, bool) {
 		return -1, false
 	}
 	return r, true
-}
-
-// mergeRankSeqsLegacy is the original sequential fold, kept as the reference
-// implementation: the trace tests assert that the parallel merge reproduces
-// it bit-for-bit on every peer-pattern and loop shape.
-func mergeRankSeqsLegacy(n int, comms map[int][]int, seqs [][]Node) *Trace {
-	tr := &Trace{N: n, Comms: comms}
-	for rank := 0; rank < n; rank++ {
-		seq := seqs[rank]
-		merged := false
-		for gi := range tr.Groups {
-			if tr.Groups[gi].tryMerge(seq, rank, tr) {
-				merged = true
-				break
-			}
-		}
-		if !merged {
-			tr.Groups = append(tr.Groups, Group{
-				Ranks: taskset.Of(rank),
-				Seq:   cloneSeq(seq),
-			})
-		}
-	}
-	sort.Slice(tr.Groups, func(i, j int) bool {
-		return tr.Groups[i].Ranks.Min() < tr.Groups[j].Ranks.Min()
-	})
-	return tr
 }
 
 func cloneSeq(seq []Node) []Node {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 
 	"repro/internal/mpi"
@@ -428,4 +429,31 @@ func TestBuilderFoldMatchesExhaustive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mergeRankSeqsLegacy is the original sequential fold, kept as the reference
+// implementation: the trace tests assert that the parallel merge reproduces
+// it bit-for-bit on every peer-pattern and loop shape.
+func mergeRankSeqsLegacy(n int, comms map[int][]int, seqs [][]Node) *Trace {
+	tr := &Trace{N: n, Comms: comms}
+	for rank := 0; rank < n; rank++ {
+		seq := seqs[rank]
+		merged := false
+		for gi := range tr.Groups {
+			if tr.Groups[gi].tryMerge(seq, rank, tr) {
+				merged = true
+				break
+			}
+		}
+		if !merged {
+			tr.Groups = append(tr.Groups, Group{
+				Ranks: taskset.Of(rank),
+				Seq:   cloneSeq(seq),
+			})
+		}
+	}
+	sort.Slice(tr.Groups, func(i, j int) bool {
+		return tr.Groups[i].Ranks.Min() < tr.Groups[j].Ranks.Min()
+	})
+	return tr
 }

@@ -205,8 +205,8 @@ func TestTimelineGolden64Ranks(t *testing.T) {
 // TestTelemetryOverheadGuard is a coarse tripwire against the enabled-path
 // cost regressing: the instrumented runtime (counters live, no tracer) must
 // stay within 1.5x of the uninstrumented one on the BenchmarkRunWorld
-// workload. The measured overhead is a few percent (recorded in
-// BENCH_3.json via `make bench`); the generous bound keeps the guard out of
+// workload. The measured overhead is a few percent (archived in
+// BENCH_3.json); the generous bound keeps the guard out of
 // CI-noise territory. Interleaved minimum-of-N measurement damps scheduler
 // variance.
 func TestTelemetryOverheadGuard(t *testing.T) {

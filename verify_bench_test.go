@@ -15,8 +15,9 @@ import (
 // per second against rank count — on LU's wildcard-heavy sweep trace. Each
 // iteration re-explores the net under a fixed state budget, so ns/op is
 // the cost of one bounded exploration and the states/sec metric is the
-// checker's raw state throughput; `make bench10` records both as the
-// verify_throughput series in BENCH_10.json.
+// checker's raw state throughput; BENCH_10.json archives both as the
+// verify_throughput series; perfbench's verify-lu4 workload tracks the
+// checker end to end.
 func BenchmarkVerifyCheck(b *testing.B) {
 	for _, n := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("check-%dranks", n), func(b *testing.B) {
