@@ -18,7 +18,7 @@ test:
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/trace/... ./internal/mpi/... ./internal/conceptual/... ./internal/harness/... ./internal/telemetry/... ./internal/service/... ./internal/critpath/... ./internal/mpnet/...
-	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestRunPoolConcurrentDeterminism' .
+	$(GO) test -race -run 'TestEventEngineMatchesGoroutineRuntime|TestRunToRunDeterminism|TestCritPath|TestConcurrentPooledDeterminism' .
 	$(GO) test -race -run 'TestVerifySuite|TestVerifyCounterexampleReplay' .
 	$(GO) test -race -short -run 'TestReplayRepresentationsBitIdentical|TestPooledWorldDeterminism|TestPooledReplayDeterminism' .
 	$(GO) test -run NONE -fuzz FuzzDecode -fuzztime 10s ./internal/trace/

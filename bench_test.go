@@ -9,6 +9,7 @@ package repro
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -756,24 +757,26 @@ func BenchmarkOverlapStudy(b *testing.B) {
 }
 
 // multiWorldSizes is one size-cycle of the BenchmarkMultiWorld mixed batch:
-// small, medium and large worlds interleaved, so stealing has real imbalance
-// to smooth out (a 256-rank world is ~16x a 16-rank one) rather than
-// identical tasks that any static partition would balance.
+// small, medium and large worlds interleaved, so the batch has real
+// imbalance (a 256-rank world is ~16x a 16-rank one) rather than identical
+// tasks that any static partition would balance.
 var multiWorldSizes = []int{16, 64, 256}
 
-// multiWorldBatch drives `count` whole worlds through a run pool against a
-// shared (warm) engine — the harness fan-out shape — and reports the first
-// failure. sizes cycles; a single-element slice gives a uniform batch.
-func multiWorldBatch(count int, sizes []int, pool *mpi.RunPool, eng *mpi.Engine) error {
+// multiWorldBatch drives `count` whole worlds concurrently, one goroutine
+// per world, against a shared (warm) engine, and reports the first failure.
+// sizes cycles; a single-element slice gives a uniform batch.
+func multiWorldBatch(count int, sizes []int, eng *mpi.Engine) error {
 	errs := make([]error, count)
-	fns := make([]func(), count)
+	var wg sync.WaitGroup
+	wg.Add(count)
 	for i := 0; i < count; i++ {
 		i, n := i, sizes[i%len(sizes)]
-		fns[i] = func() {
+		go func() {
+			defer wg.Done()
 			_, errs[i] = mpi.Run(n, netmodel.BlueGeneL(), rankScalingBody(n), mpi.WithEngine(eng))
-		}
+		}()
 	}
-	mpi.WaitAll(pool.SubmitBatch(fns))
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -782,31 +785,29 @@ func multiWorldBatch(count int, sizes []int, pool *mpi.RunPool, eng *mpi.Engine)
 	return nil
 }
 
-// BenchmarkMultiWorld is the saturation benchmark archived in BENCH_9.json:
-// aggregate worlds/sec when many independent worlds are driven through the
-// work-stealing run pool, measured across -cpu 1,2,4,8. Each sub-benchmark
-// builds its pool fresh so the worker count tracks the -cpu value go test
-// sets, and warms the engine's world classes untimed so the measured batches
-// see the steady state a long-lived host sees. The pooled-<N>ranks series are
-// uniform batches; the mixed series (labelled by its 16+64+256 size-cycle
-// sum) is the imbalanced batch that exercises stealing. Dividing each
-// variant's 1P ns/op by its kP ns/op gives the pool speedup — on a
-// multicore host the 8P aggregate is expected >=3x the 1P one; a
-// single-core host measures ~1x by construction.
+// BenchmarkMultiWorld measures aggregate worlds/sec when many independent
+// worlds run concurrently on one shared Engine, with the Go scheduler
+// placing them on Ps; run it across -cpu 1,2,4,8. Each sub-benchmark warms
+// the engine's world classes untimed so the measured batches see the steady
+// state a long-lived host sees. The pooled-<N>ranks series are uniform
+// batches; the mixed series (labelled by its 16+64+256 size-cycle sum) is
+// the imbalanced batch. Dividing each variant's 1P ns/op by its kP ns/op
+// gives the multi-P speedup; a single-core host measures ~1x by
+// construction. The numbers archived in BENCH_9.json were taken through a
+// dedicated work-stealing run pool that has since been removed in favour of
+// plain goroutines, so they are history, not a baseline for this shape.
 func BenchmarkMultiWorld(b *testing.B) {
 	const batch = 24
 	run := func(b *testing.B, sizes []int) {
 		b.ReportAllocs()
-		pool := mpi.NewRunPool(0) // tracks GOMAXPROCS under -cpu
-		defer pool.Close()
 		eng := mpi.NewEngine()
 		defer eng.Close()
-		if err := multiWorldBatch(batch, sizes, pool, eng); err != nil {
+		if err := multiWorldBatch(batch, sizes, eng); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := multiWorldBatch(batch, sizes, pool, eng); err != nil {
+			if err := multiWorldBatch(batch, sizes, eng); err != nil {
 				b.Fatal(err)
 			}
 		}

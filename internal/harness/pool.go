@@ -48,19 +48,6 @@ var sharedEngine = mpi.NewEngine()
 // maintaining a second pool.
 func SharedEngine() *mpi.Engine { return sharedEngine }
 
-// sharedRunPool is the work-stealing pool of worker Ps that executes every
-// world-driving task the harness fans out — experiment configurations
-// (forEach) and benchd job bodies (Pool) alike. One pool per process keeps
-// the machine's Ps busy without oversubscription no matter how many callers
-// fan out concurrently; tasks that wait on sub-tasks help execute pending
-// work instead of blocking, so nested fan-out cannot deadlock the fixed
-// worker set.
-var sharedRunPool = mpi.NewRunPool(0)
-
-// SharedRunPool exposes the harness's work-stealing run pool so co-hosted
-// components can drive worlds through the same worker set.
-func SharedRunPool() *mpi.RunPool { return sharedRunPool }
-
 // SetParallelism sets how many experiment configurations run concurrently.
 // k <= 0 restores the default (GOMAXPROCS). Results are identical for every
 // worker count.
@@ -116,10 +103,7 @@ func forEachNamed(n int, name func(i int) string, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(Parallelism(), n)
 	if workers <= 1 {
 		// The serial path keeps fail-fast semantics but still converts a
 		// panic into a named error.
@@ -130,25 +114,17 @@ func forEachNamed(n int, name func(i int) string, fn func(i int) error) error {
 		}
 		return nil
 	}
+	// Workers pull indices from a shared cursor, so at most `workers`
+	// configurations are in flight and a long one strands no work behind
+	// it. The Go scheduler places the workers on Ps; a configuration that
+	// itself calls forEach just starts its own workers.
 	errs := make([]error, n)
-	if workers >= sharedRunPool.Workers() {
-		// Full fan-out: scatter one task per configuration across the run
-		// pool's per-worker deques, one steal away from any idle P. The
-		// caller helps while waiting, so a nested fan-out (a pooled job
-		// that itself calls forEach) executes instead of deadlocking on a
-		// saturated worker set.
-		fns := make([]func(), n)
-		for i := range fns {
-			i := i
-			fns[i] = func() { errs[i] = runJob(name, i, fn) }
-		}
-		mpi.WaitAll(sharedRunPool.SubmitBatch(fns))
-	} else {
-		// A parallelism cap below the pool size is honored with runner
-		// tasks pulling an index cursor: at most `workers` configurations
-		// are in flight no matter how many Ps the pool has.
-		var cursor atomic.Int64
-		runner := func() {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
@@ -156,13 +132,9 @@ func forEachNamed(n int, name func(i int) string, fn func(i int) error) error {
 				}
 				errs[i] = runJob(name, i, fn)
 			}
-		}
-		ts := make([]*mpi.RunTicket, workers)
-		for w := range ts {
-			ts[w] = sharedRunPool.Submit(runner)
-		}
-		mpi.WaitAll(ts)
+		}()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -195,7 +167,10 @@ var ErrPoolClosed = errors.New("harness: pool closed")
 // runs via mpi.WithContext, stage boundaries via ctx.Err checks), so a
 // cancelled or timed-out job actually stops pipeline work instead of leaking
 // goroutines. Submit never blocks: a full queue is reported as ErrQueueFull
-// and left to the caller's backpressure policy.
+// and left to the caller's backpressure policy. Each worker runs its job
+// body itself, so the worker count bounds in-flight jobs and the Go
+// scheduler places them on Ps alongside every other world the process is
+// driving.
 type Pool struct {
 	jobs chan poolJob
 	wg   sync.WaitGroup
@@ -225,15 +200,7 @@ func NewPool(workers, queueCap int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				// The worker goroutine is only admission control (it bounds
-				// in-flight jobs at `workers`); the job body itself runs on
-				// the shared work-stealing pool, alongside every other world
-				// the process is driving, instead of on a goroutine of its
-				// own. Run's helping wait keeps this deadlock-free when the
-				// pool is saturated: the dispatcher executes pending tasks
-				// itself rather than parking.
-				j := j
-				sharedRunPool.Run(func() { p.runOne(j) })
+				p.runOne(j)
 			}
 		}()
 	}

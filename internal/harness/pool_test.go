@@ -78,6 +78,35 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestForEachNested pins that nested fan-out completes: a configuration that
+// itself calls forEach, with every outer worker busy, still runs every outer
+// and inner index exactly once.
+func TestForEachNested(t *testing.T) {
+	defer SetParallelism(0)
+	SetParallelism(2)
+	var outer [4]atomic.Int32
+	var hits [len(outer)][8]atomic.Int32
+	if err := forEach(len(outer), func(i int) error {
+		outer[i].Add(1)
+		return forEach(len(hits[i]), func(j int) error {
+			hits[i][j].Add(1)
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range hits {
+		if got := outer[i].Load(); got != 1 {
+			t.Fatalf("outer %d ran %d times", i, got)
+		}
+		for j := range hits[i] {
+			if got := hits[i][j].Load(); got != 1 {
+				t.Fatalf("outer %d inner %d ran %d times", i, j, got)
+			}
+		}
+	}
+}
+
 // TestForEachNamedCapturesPanic pins the pool's crash containment: a panic
 // inside one configuration surfaces as that configuration's error — naming
 // it — while every other configuration still runs to completion, on both the

@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netmodel"
@@ -105,7 +107,79 @@ func TestEngineCloseRemainsUsable(t *testing.T) {
 		t.Fatalf("result has %d ranks, want 8", len(res.PerRankUS))
 	}
 	waitForGoroutines(t, base)
-	if total, classes := eng.cached.Load(), eng.cachedWorlds(); total != 0 || len(classes) != 0 {
+	if total, classes := eng.cached, eng.cachedWorlds(); total != 0 || len(classes) != 0 {
 		t.Errorf("engine cached %d ranks across %d classes after Close", total, len(classes))
 	}
+}
+
+// TestEngineConcurrentCloseAndBudget pins the pool's accounting under
+// concurrent use: while mixed-size worlds run from several goroutines
+// against a tiny rank budget, the cached total always equals the ranks the
+// free lists hold and never exceeds the budget; and a Close landing while
+// runs are in flight leaves nothing cached and no rank goroutine running
+// once they finish (a release racing Close must not re-cache its world).
+func TestEngineConcurrentCloseAndBudget(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := NewEngine()
+	eng.maxRanks = 24
+	sizes := []int{4, 8, 16}
+
+	// consistent checks the invariants on one locked snapshot.
+	consistent := func() {
+		eng.mu.Lock()
+		total, sum := eng.cached, 0
+		for n, l := range eng.free {
+			sum += n * len(l)
+		}
+		eng.mu.Unlock()
+		if total != sum || total > eng.maxRanks {
+			t.Errorf("cached %d ranks, free lists hold %d, budget %d", total, sum, eng.maxRanks)
+		}
+	}
+
+	// runAll starts `workers` goroutines that each run `runs` pooled worlds,
+	// cycling through the sizes; onRun is called after each finished run.
+	runAll := func(workers, runs int, onRun func()) *sync.WaitGroup {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for g := 0; g < workers; g++ {
+			go func() {
+				defer wg.Done()
+				for i := 0; i < runs; i++ {
+					n := sizes[(g+i)%len(sizes)]
+					res, err := Run(n, netmodel.Ideal(), cleanBody, WithEngine(eng))
+					if err != nil {
+						t.Errorf("run at %d ranks: %v", n, err)
+						return
+					}
+					if len(res.PerRankUS) != n {
+						t.Errorf("run at %d ranks returned %d clocks", n, len(res.PerRankUS))
+					}
+					onRun()
+				}
+			}()
+		}
+		return &wg
+	}
+
+	runAll(4, 20, consistent).Wait()
+	var total int
+	for n, c := range eng.cachedWorlds() {
+		total += n * c
+	}
+	if total != eng.cached || total > eng.maxRanks {
+		t.Fatalf("quiescent pool: cached %d, cachedWorlds sums to %d, budget %d", eng.cached, total, eng.maxRanks)
+	}
+
+	var done atomic.Int32
+	wg := runAll(4, 20, func() { done.Add(1) })
+	for done.Load() < 8 {
+		runtime.Gosched()
+	}
+	eng.Close()
+	wg.Wait()
+	if total, classes := eng.cached, eng.cachedWorlds(); total != 0 || len(classes) != 0 {
+		t.Errorf("engine cached %d ranks across %d classes after Close", total, len(classes))
+	}
+	waitForGoroutines(t, base)
 }
